@@ -69,9 +69,9 @@ evalfull:
 chaos:
 	$(GO) run ./cmd/klocbench -exp chaos -quick -chaos-out BENCH_chaos.json
 
-# perf runs the quick hot-path accounting sweep (PERFORMANCE.md) with
-# wall metrics on stdout and the deterministic report in
-# BENCH_perf.json; exits 1 if the full fast path regresses below the
-# exact baseline on any micro stage.
+# perf runs the quick hot-path accounting sweep, fast path vs exact
+# reference (PERFORMANCE.md), with wall metrics on stdout and the
+# deterministic report in BENCH_perf.json; exits 1 if the fast path
+# regresses below the exact reference on any micro stage.
 perf:
 	$(GO) run ./cmd/klocbench -exp perf -quick -perf-out BENCH_perf.json

@@ -197,7 +197,8 @@ func TestResolveExperimentsPerf(t *testing.T) {
 
 // TestPerfBenchSmoke drives -exp perf end to end through the same
 // entry point main uses: quick sweep, report written, schema intact,
-// wall metrics kept out of the artifact by default.
+// exactly the two-row catalog (exact baseline, fast full) on every
+// stage, wall metrics kept out of the artifact by default.
 func TestPerfBenchSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_perf.json")
 	opts := kloc.Options{Seed: 42}
@@ -225,8 +226,12 @@ func TestPerfBenchSmoke(t *testing.T) {
 	if !rep.Quick || rep.Seed != 42 {
 		t.Fatalf("config not reflected: quick=%v seed=%d", rep.Quick, rep.Seed)
 	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("no rows in artifact")
+	if len(rep.Variants) != 2 || rep.Variants[0].Name != "baseline" || !rep.Variants[0].Exact ||
+		rep.Variants[1].Name != "full" || rep.Variants[1].Exact {
+		t.Fatalf("variant catalog %+v, want exact baseline then fast full", rep.Variants)
+	}
+	if want := 2 * len(rep.Stages); len(rep.Rows) != want || want == 0 {
+		t.Fatalf("%d rows over %d stages, want %d", len(rep.Rows), len(rep.Stages), want)
 	}
 	for _, row := range rep.Rows {
 		if row.Wall != nil {

@@ -221,6 +221,35 @@ func TestClusterReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// TestMachinesRecycleOpContexts: every fleet request retires its op
+// context back to its machine's kernel pool, so a short run recycles
+// contexts instead of allocating one per request.
+func TestMachinesRecycleOpContexts(t *testing.T) {
+	cfg := testConfig()
+	cfg.Route = "kloc"
+	cfg.Rate = rateFor(t, cfg, 0.7)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.Completed == 0 {
+		t.Fatalf("fleet completed no requests: %+v", rep.Stats)
+	}
+	var fresh, reused uint64
+	for _, m := range c.machines {
+		f, r := m.k.CtxPoolCounters()
+		fresh += f
+		reused += r
+	}
+	if reused == 0 {
+		t.Fatalf("machines never recycled an op context (fresh=%d)", fresh)
+	}
+}
+
 // TestHedgingCancelsLoser: with one machine degraded far past the
 // hedge delay, hedges fire, the healthy machine wins, and the loser's
 // eventual completion is counted as wasted work.

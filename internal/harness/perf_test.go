@@ -4,86 +4,102 @@ import (
 	"strings"
 	"testing"
 
-	"kloc/internal/metrics"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
 
-func perfTestConfig(mode metrics.Mode) RunConfig {
+func perfTestConfig(policy, workload string, exact bool) RunConfig {
 	return RunConfig{
-		PolicyName: "klocs",
-		Workload:   "rocksdb",
-		Duration:   20 * sim.Millisecond,
-		Accounting: mode,
-		Trace:      &trace.Config{},
+		PolicyName:      policy,
+		Workload:        workload,
+		Duration:        20 * sim.Millisecond,
+		ExactAccounting: exact,
+		Trace:           &trace.Config{},
 	}
 }
 
-// TestAccountingModesAreInvisible: the batched+pooled+indexed default
-// accounting path must be pure bookkeeping — a run under LegacyMode
-// (per-event counters, no recycling, map indices) and a run under
-// DefaultMode at the same seed must agree on every simulation result,
-// down to byte-identical trace exports. This is the contract that lets
-// the fast path be the default (DESIGN.md §13).
+// TestAccountingModesAreInvisible: the fast accounting path must be
+// pure bookkeeping — a run on the exact per-event reference (per-event
+// counters, no recycling, map indices) and a run on the default fast
+// path at the same seed must agree on every simulation result, down to
+// byte-identical trace exports. This is the contract that lets the
+// fast path be the default (DESIGN.md §13). The inputs cover the
+// knode walk and migration (rocksdb under klocs) as well as netsim
+// sockets and the LRU-scan policy (redis under nimble).
 func TestAccountingModesAreInvisible(t *testing.T) {
-	legacy, err := Run(perfTestConfig(metrics.LegacyMode()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Run(perfTestConfig(metrics.DefaultMode()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Ops != fast.Ops || legacy.VirtualTime != fast.VirtualTime ||
-		legacy.Throughput != fast.Throughput {
-		t.Fatalf("accounting mode perturbed the run: ops %d vs %d, vt %v vs %v",
-			legacy.Ops, fast.Ops, legacy.VirtualTime, fast.VirtualTime)
-	}
-	if legacy.Mem.Refs != fast.Mem.Refs || legacy.Mem.MigratedPages != fast.Mem.MigratedPages ||
-		legacy.Mem.Demotions != fast.Mem.Demotions || legacy.Mem.Promotions != fast.Mem.Promotions {
-		t.Fatalf("accounting mode perturbed memory stats:\n%+v\n%+v", legacy.Mem, fast.Mem)
-	}
-	if legacy.FS != fast.FS {
-		t.Fatalf("accounting mode perturbed FS stats:\n%+v\n%+v", legacy.FS, fast.FS)
-	}
-	if legacy.Trace.TextString() != fast.Trace.TextString() {
-		t.Fatal("text trace differs between legacy and default accounting")
-	}
-	var jl, jf strings.Builder
-	if err := legacy.Trace.WriteChrome(&jl); err != nil {
-		t.Fatal(err)
-	}
-	if err := fast.Trace.WriteChrome(&jf); err != nil {
-		t.Fatal(err)
-	}
-	if jl.String() != jf.String() {
-		t.Fatal("chrome trace differs between legacy and default accounting")
+	for _, in := range []struct{ policy, workload string }{
+		{"klocs", "rocksdb"},
+		{"nimble", "redis"},
+	} {
+		t.Run(in.policy+"/"+in.workload, func(t *testing.T) {
+			exact, err := Run(perfTestConfig(in.policy, in.workload, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := Run(perfTestConfig(in.policy, in.workload, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exact.Ops != fast.Ops || exact.VirtualTime != fast.VirtualTime ||
+				exact.Throughput != fast.Throughput {
+				t.Fatalf("accounting path perturbed the run: ops %d vs %d, vt %v vs %v",
+					exact.Ops, fast.Ops, exact.VirtualTime, fast.VirtualTime)
+			}
+			if exact.Mem.Refs != fast.Mem.Refs || exact.Mem.MigratedPages != fast.Mem.MigratedPages ||
+				exact.Mem.Demotions != fast.Mem.Demotions || exact.Mem.Promotions != fast.Mem.Promotions {
+				t.Fatalf("accounting path perturbed memory stats:\n%+v\n%+v", exact.Mem, fast.Mem)
+			}
+			if exact.FS != fast.FS {
+				t.Fatalf("accounting path perturbed FS stats:\n%+v\n%+v", exact.FS, fast.FS)
+			}
+			if exact.Trace.Emitted() == 0 {
+				t.Fatal("traced run emitted no events")
+			}
+			if exact.Trace.TextString() != fast.Trace.TextString() {
+				t.Fatal("text trace differs between exact and fast accounting")
+			}
+			var je, jf strings.Builder
+			if err := exact.Trace.WriteChrome(&je); err != nil {
+				t.Fatal(err)
+			}
+			if err := fast.Trace.WriteChrome(&jf); err != nil {
+				t.Fatal(err)
+			}
+			if je.String() != jf.String() {
+				t.Fatal("chrome trace differs between exact and fast accounting")
+			}
+		})
 	}
 }
 
-// TestPerfMetersReportBookkeeping: the default mode must actually take
+// TestPerfMetersReportBookkeeping: the default path must actually take
 // the fast paths — recycled ctxs and frames, batched commits — and the
-// legacy mode must not, so the perf meters are evidence, not noise.
+// exact reference must not, so the perf meters are evidence, not
+// noise. The tracer follows its run's path: the exact run commits every
+// event through, the fast run commits in run lengths.
 func TestPerfMetersReportBookkeeping(t *testing.T) {
-	legacy, err := Run(perfTestConfig(metrics.LegacyMode()))
+	exact, err := Run(perfTestConfig("klocs", "rocksdb", true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(perfTestConfig(metrics.DefaultMode()))
+	fast, err := Run(perfTestConfig("klocs", "rocksdb", false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fast.Perf.CtxReused == 0 {
-		t.Fatal("default mode reused no ctx records")
+		t.Fatal("fast path reused no ctx records")
 	}
 	if fast.Perf.Mem.FramesReused == 0 {
-		t.Fatal("default mode reused no frames")
+		t.Fatal("fast path reused no frames")
 	}
 	if fast.Perf.Mem.AccCommits == 0 || fast.Perf.Mem.AccAdds == 0 {
-		t.Fatal("default mode committed no batched accumulator deltas")
+		t.Fatal("fast path committed no batched accumulator deltas")
 	}
-	if legacy.Perf.CtxReused != 0 || legacy.Perf.Mem.FramesReused != 0 ||
-		legacy.Perf.Mem.AccCommits != 0 {
-		t.Fatalf("legacy mode took fast paths: %+v", legacy.Perf)
+	if fast.Perf.TraceCommits == 0 {
+		t.Fatal("fast run's tracer committed no run-length summaries")
+	}
+	if exact.Perf.CtxReused != 0 || exact.Perf.Mem.FramesReused != 0 ||
+		exact.Perf.Mem.AccCommits != 0 || exact.Perf.TraceCommits != 0 {
+		t.Fatalf("exact reference took fast paths: %+v", exact.Perf)
 	}
 }

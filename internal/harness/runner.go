@@ -118,12 +118,14 @@ type RunConfig struct {
 	// is returned on Result.Sanitize.
 	Sanitize bool
 
-	// Accounting selects the hot-path accounting mode (DESIGN.md §13).
-	// The zero value resolves to metrics.DefaultMode (batched + pooled
-	// + indexed); the perf harness passes metrics.LegacyMode-derived
-	// variants for its A/B sweeps. Every mode yields byte-identical
-	// simulation results — this knob trades only bookkeeping cost.
-	Accounting metrics.Mode
+	// ExactAccounting runs the whole stack — memory, kernel, KLOC
+	// registry and tracer — on the exact per-event reference
+	// accounting path instead of the fast path (DESIGN.md §13). The
+	// zero value is the fast path every production run takes; the
+	// reference exists for the invisibility test and the perf sweep's
+	// baseline row. Both yield byte-identical simulation results —
+	// this knob trades only bookkeeping cost.
+	ExactAccounting bool
 }
 
 // Result is one run's outcome.
@@ -199,10 +201,11 @@ type Result struct {
 	TraceStats trace.Stats
 
 	// Perf reports the run's hot-path accounting meters (DESIGN.md
-	// §13): deterministic evidence of how much bookkeeping the active
-	// Accounting mode actually did — accumulator adds vs committed net
-	// deltas, frame/ctx pool recycling, trace summary commits. Purely
-	// informational; every mode produces identical simulation results.
+	// §13): deterministic evidence of how much bookkeeping the run's
+	// accounting path actually did — accumulator adds vs committed net
+	// deltas, frame/ctx pool recycling, trace summary commits (the
+	// reuse and commit meters stay zero on the exact reference). Purely
+	// informational; both paths produce identical simulation results.
 	Perf PerfMeters
 
 	// Sanitize is the runtime sanitizer's end-of-run report (nil when
@@ -295,7 +298,7 @@ type preparedRun struct {
 func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	cfg = cfg.withDefaults()
 	mem := cfg.buildMemory()
-	mem.SetMode(cfg.Accounting)
+	mem.SetExact(cfg.ExactAccounting)
 	pol := cfg.Policy
 	if pol == nil {
 		var err error
@@ -325,12 +328,7 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	var tracer *trace.Tracer
 	if cfg.Trace != nil {
 		tc := *cfg.Trace
-		if tc.Mode == 0 {
-			// The run's accounting mode governs the tracer too, unless
-			// the trace config pinned one explicitly (the perf A/B runs
-			// do both together).
-			tc.Mode = cfg.Accounting
-		}
+		tc.Exact = cfg.ExactAccounting
 		tracer = trace.New(tc)
 		k.AttachTracer(tracer)
 	}
@@ -427,7 +425,7 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 			}
 			cost := ctx.Cost
 			// The op has retired and nothing downstream retains ctx, so
-			// it can go back to the pool (no-op unless ModePooled).
+			// it can go back to the pool (no-op on the exact reference).
 			k.PutCtx(ctx)
 			if cost < 100 {
 				cost = 100
@@ -482,7 +480,7 @@ func (p *preparedRun) finish() (*Result, error) {
 // Mem carries the per-CPU accumulator and frame-pool counters,
 // TraceCommits the tracer's batched summary commits (zero when tracing
 // was off), and CtxFresh/CtxReused the op-context pool's behavior.
-// All are deterministic at a given seed and mode.
+// All are deterministic at a given seed and accounting path.
 type PerfMeters struct {
 	Mem                 memsim.PerfCounters
 	TraceCommits        uint64

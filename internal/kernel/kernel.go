@@ -97,11 +97,11 @@ type Kernel struct {
 	//klocs:owner=lane
 	appPages map[memsim.FrameID]*memsim.Frame
 
-	// ctxPool recycles retired op contexts under metrics.ModePooled
-	// (see NewCtx/PutCtx). ctxFresh/ctxReused meter the pool.
+	// ctxPool recycles retired op contexts on the fast accounting path
+	// (see NewCtx/PutCtx); it stays empty under the memory system's
+	// exact reference. ctxFresh/ctxReused meter the pool.
 	//klocs:owner=lane
 	ctxPool             []*kstate.Ctx
-	ctxPooled           bool
 	ctxFresh, ctxReused uint64
 
 	//klocs:owner=lane
@@ -116,7 +116,6 @@ func New(eng *sim.Engine, mem *memsim.Memory, pol Policy) *Kernel {
 		Policy:    pol,
 		Lifetimes: metrics.NewLifetimeTracker(),
 		appPages:  make(map[memsim.FrameID]*memsim.Frame),
-		ctxPooled: mem.Mode().Pooled(),
 	}
 	hooks := &muxHooks{kernel: k, policy: pol}
 	mq := blockdev.NewMQ(blockdev.SimNVMe(), mem.NumCPUs())
@@ -239,7 +238,7 @@ func (k *Kernel) CPUFor(thread int) int {
 }
 
 // NewCtx builds an operation context for a workload thread at the
-// current virtual time. Under metrics.ModePooled a retired context
+// current virtual time. On the fast accounting path a retired context
 // (see PutCtx) is recycled instead of allocated; the reset writes
 // every field, so a recycled context is indistinguishable from a
 // fresh one.
@@ -258,10 +257,10 @@ func (k *Kernel) NewCtx(thread int) *kstate.Ctx {
 
 // PutCtx returns a retired op context to the pool. Callers must not
 // retain or read ctx afterwards — NewCtx may hand the same struct to
-// the next operation. A no-op (safe to call unconditionally) when
-// pooling is off or ctx is nil.
+// the next operation. A no-op (safe to call unconditionally) on the
+// exact reference accounting path or when ctx is nil.
 func (k *Kernel) PutCtx(c *kstate.Ctx) {
-	if c == nil || !k.ctxPooled {
+	if c == nil || k.Mem.Exact() {
 		return
 	}
 	k.ctxPool = append(k.ctxPool, c)

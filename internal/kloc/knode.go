@@ -174,9 +174,10 @@ type registryStats struct {
 // and the knode slab.
 type Registry struct {
 	kmap *rbtree.Tree[uint64, *Knode]
-	// byID is the legacy ID index; under metrics.ModeIndexed the dense
-	// byIDDense slice replaces it (knode IDs are monotonic from 1, so
-	// the ID is the slot — no per-op map hash on the free/touch path).
+	// byID is the exact reference's ID index; on the fast path the
+	// dense byIDDense slice replaces it (knode IDs are monotonic from
+	// 1, so the ID is the slot — no per-op map hash on the free/touch
+	// path).
 	byID      map[KnodeID]*Knode
 	byIDDense []*Knode
 	fast      *percpu.Lists[*Knode]
@@ -205,8 +206,9 @@ const perCPUListCap = 64
 // CPU count. Knode storage comes from a dedicated (pinned, ClassMeta)
 // slab cache placed on the given fallback order — the paper always
 // allocates knodes to fast memory (§4.2.2). The registry inherits the
-// memory system's accounting mode: under metrics.ModeIndexed the
-// by-ID index is a dense slice instead of a map.
+// memory system's accounting path: on the fast path the by-ID index is
+// a dense slice; under the exact reference (or with no memory system)
+// it is a map.
 func NewRegistry(mem *memsim.Memory, cpus int) *Registry {
 	// knodeStructBytes is a compile-time-known valid size, so the only
 	// failure is programmer error; a nil slab makes MapKnode return
@@ -223,7 +225,7 @@ func NewRegistry(mem *memsim.Memory, cpus int) *Registry {
 		SplitTrees:      true,
 		FastPathEnabled: true,
 	}
-	if mem != nil && mem.Mode().Indexed() {
+	if mem != nil && !mem.Exact() {
 		r.byIDDense = make([]*Knode, 1) // slot 0 unused: IDs start at 1
 	} else {
 		r.byID = make(map[KnodeID]*Knode)
@@ -231,7 +233,7 @@ func NewRegistry(mem *memsim.Memory, cpus int) *Registry {
 	return r
 }
 
-// knodeByID resolves an ID through whichever index the mode keeps.
+// knodeByID resolves an ID through whichever index the path keeps.
 func (r *Registry) knodeByID(id KnodeID) (*Knode, bool) {
 	if r.byIDDense != nil {
 		i := int(id)

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"kloc/internal/fault"
-	"kloc/internal/metrics"
 	"kloc/internal/percpu"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
@@ -186,8 +185,8 @@ type Frame struct {
 	//klocs:owner=lane
 	Migrations uint8
 
-	// pos is the frame's index in the live table under ModeIndexed
-	// (-1 = not live). Maintained by Alloc/Free via swap-remove.
+	// pos is the frame's index in the fast path's live table (-1 = not
+	// live). Maintained by Alloc/Free via swap-remove.
 	//klocs:owner=lane
 	pos int
 }
@@ -270,20 +269,21 @@ type Memory struct {
 	//klocs:owner=epoch
 	l4 []*l4Cache
 
-	// mode selects the accounting path (DESIGN.md §13). Fixed by
-	// SetMode before any traffic; every mode yields byte-identical
-	// simulation results.
+	// exact selects the per-event reference accounting path instead of
+	// the fast path (DESIGN.md §13). Fixed by SetExact before any
+	// traffic; both paths yield byte-identical simulation results.
 	//klocs:owner=epoch
-	mode metrics.Mode
-	// frames is the legacy live-frame index; under ModeIndexed the
-	// compact live table (+ Frame.pos) replaces it and frames is nil.
+	exact bool
+	// frames is the reference path's live-frame index; the fast path
+	// keeps the compact live table (+ Frame.pos) instead and frames is
+	// nil.
 	//klocs:owner=lane
 	frames map[FrameID]*Frame
 	//klocs:owner=lane
 	live []*Frame
 	//klocs:owner=lane
 	nextFrame FrameID
-	// freeFrames is the ModePooled frame freelist: Free pushes retired
+	// freeFrames is the fast path's frame freelist: Free pushes retired
 	// Frame structs, Alloc recycles them (with fresh IDs, so stale
 	// FrameIDs never alias a new allocation's identity).
 	//klocs:owner=lane
@@ -293,26 +293,19 @@ type Memory struct {
 	//klocs:owner=lane
 	poolReuse uint64
 	// acc batches the per-access counters (Refs, BytesTouched,
-	// RefsByNode) in per-CPU lanes under ModeBatched; SyncStats
+	// RefsByNode) in per-CPU lanes on the fast path; SyncStats
 	// materializes it into Stats. Cell layout: [0,6) refs by class,
 	// [6,12) bytes by class, [12,12+nodes) refs by node. The pointer
-	// is rewired only by SetMode, before traffic.
+	// is rewired only by SetExact, before traffic.
 	//klocs:owner=epoch
 	acc *percpu.Accumulator
-	// allocsDense/usedDense/refsDense are the ModeIndexed stores behind
-	// Stats.AllocsByClassNode, usedByClass, and Stats.RefsByNode,
-	// indexed by NodeID (node IDs are dense positions in Nodes).
-	// refsDense is superseded by acc when batching is also on.
+	// allocsDense/usedDense are the fast path's stores behind
+	// Stats.AllocsByClassNode and usedByClass, indexed by NodeID (node
+	// IDs are dense positions in Nodes).
 	//klocs:owner=lane
 	allocsDense [][6]uint64
 	//klocs:owner=lane
 	usedDense [][6]int
-	//klocs:owner=lane
-	refsDense []uint64
-	// batched/pooled/indexed cache the resolved mode bits for the hot
-	// paths. Written only by SetMode, before traffic.
-	//klocs:owner=epoch
-	batched, pooled, indexed bool
 	// atomicDepth > 0 marks GFP_ATOMIC context: allocations may dip
 	// into the watermark reserve (rx path, journal commits, reclaim
 	// itself — the PF_MEMALLOC analog). The simulation is single-
@@ -320,8 +313,8 @@ type Memory struct {
 	//klocs:owner=lane
 	atomicDepth int
 	// usedByClass tracks current page occupancy per node per class
-	// (capacity-limit enforcement, sys_kloc_memsize). Legacy store;
-	// usedDense replaces it under ModeIndexed. Occupancy is control
+	// (capacity-limit enforcement, sys_kloc_memsize). Reference-path
+	// store; the fast path keeps usedDense instead. Occupancy is control
 	// flow (capacity limits), so whichever store is active is updated
 	// exactly, never batched.
 	//klocs:owner=lane
@@ -331,9 +324,10 @@ type Memory struct {
 	Stats Stats
 }
 
-// New builds a Memory from nodes and a CPU->socket map. The accounting
-// path starts at metrics.DefaultMode; call SetMode before any traffic
-// to select another (the perf harness's baseline A/B runs do).
+// New builds a Memory from nodes and a CPU->socket map. Accounting
+// starts on the fast path; call SetExact(true) before any traffic to
+// select the per-event reference (the perf harness's baseline and the
+// invisibility test do).
 func New(nodes []*Node, cpuSocket []int, interconnect sim.Duration) *Memory {
 	m := &Memory{
 		Nodes:                 nodes,
@@ -356,44 +350,38 @@ func New(nodes []*Node, cpuSocket []int, interconnect sim.Duration) *Memory {
 		}
 	}
 	m.l4 = make([]*l4Cache, maxSock+1)
-	m.SetMode(metrics.DefaultMode())
+	m.SetExact(false)
 	return m
 }
 
-// SetMode selects the accounting path (DESIGN.md §13) and rebuilds the
-// internal stores for it. Must be called before any allocation or
-// access traffic — it resets the accounting state, not the nodes.
-// Every mode produces byte-identical simulation behaviour; only the
-// bookkeeping cost differs.
-func (m *Memory) SetMode(mode metrics.Mode) {
-	m.mode = mode.Resolve()
-	m.batched = m.mode.Batched()
-	m.pooled = m.mode.Pooled()
-	m.indexed = m.mode.Indexed()
+// SetExact selects the accounting path (DESIGN.md §13) and rebuilds the
+// internal stores for it: the fast path (false, the default) batches,
+// pools and densely indexes; the exact reference (true) writes every
+// event through to map-backed Stats and allocates every frame fresh.
+// Must be called before any allocation or access traffic — it resets
+// the accounting state, not the nodes. Both paths produce
+// byte-identical simulation behaviour; only the bookkeeping cost
+// differs.
+func (m *Memory) SetExact(exact bool) {
+	m.exact = exact
 	m.freeFrames = nil
 	m.poolFresh, m.poolReuse = 0, 0
-	if m.indexed {
-		m.frames = nil
-		m.live = nil
-		m.allocsDense = make([][6]uint64, len(m.Nodes))
-		m.usedDense = make([][6]int, len(m.Nodes))
-		m.refsDense = make([]uint64, len(m.Nodes))
-	} else {
+	m.live = nil
+	if exact {
 		m.frames = make(map[FrameID]*Frame)
-		m.live = nil
-		m.allocsDense, m.usedDense, m.refsDense = nil, nil, nil
+		m.allocsDense, m.usedDense, m.acc = nil, nil, nil
+		return
 	}
-	if m.batched {
-		m.acc = percpu.NewAccumulator(len(m.CPUSocket), accNodeCell+len(m.Nodes), 0)
-	} else {
-		m.acc = nil
-	}
+	m.frames = nil
+	m.allocsDense = make([][6]uint64, len(m.Nodes))
+	m.usedDense = make([][6]int, len(m.Nodes))
+	m.acc = percpu.NewAccumulator(len(m.CPUSocket), accNodeCell+len(m.Nodes), 0)
 }
 
-// Mode reports the active accounting mode.
-func (m *Memory) Mode() metrics.Mode { return m.mode }
+// Exact reports whether the per-event reference accounting is active.
+func (m *Memory) Exact() bool { return m.exact }
 
-// Accumulator cell layout under ModeBatched: refs by class, bytes by
+// Accumulator cell layout on the fast path: refs by class, bytes by
 // class, then refs by node.
 const (
 	accRefCell  = 0
@@ -401,53 +389,46 @@ const (
 	accNodeCell = 12
 )
 
-// SyncStats materializes the batched/indexed accounting stores into
+// SyncStats materializes the fast path's accounting stores into
 // Stats, so a direct read of Stats.Refs / BytesTouched / RefsByNode /
 // AllocsByClassNode is exact. The harness calls it at its snapshot and
 // collect boundaries; tests reading Stats directly after traffic must
 // call it too. Idempotent, accounting-only, and invisible to the
 // simulation.
 func (m *Memory) SyncStats() {
-	if m.acc != nil {
-		m.acc.Flush()
-		for c := 0; c < 6; c++ {
-			m.Stats.Refs[c] = m.acc.Value(accRefCell + c)
-			m.Stats.BytesTouched[c] = m.acc.Value(accByteCell + c)
-		}
-		for i := range m.Nodes {
-			// Only materialize touched nodes: the legacy map gains a key
-			// on a node's first reference, and synced stats must be
-			// indistinguishable from legacy ones.
-			if v := m.acc.Value(accNodeCell + i); v > 0 {
-				m.Stats.RefsByNode[NodeID(i)] = v
-			}
-		}
-	} else if m.refsDense != nil {
-		for i, v := range m.refsDense {
-			if v > 0 {
-				m.Stats.RefsByNode[NodeID(i)] = v
-			}
+	if m.exact {
+		return
+	}
+	m.acc.Flush()
+	for c := 0; c < 6; c++ {
+		m.Stats.Refs[c] = m.acc.Value(accRefCell + c)
+		m.Stats.BytesTouched[c] = m.acc.Value(accByteCell + c)
+	}
+	for i := range m.Nodes {
+		// Only materialize touched nodes: the reference map gains a key
+		// on a node's first reference, and synced stats must be
+		// indistinguishable from reference ones.
+		if v := m.acc.Value(accNodeCell + i); v > 0 {
+			m.Stats.RefsByNode[NodeID(i)] = v
 		}
 	}
-	if m.allocsDense != nil {
-		for i := range m.allocsDense {
-			*m.Stats.AllocsByClassNode[NodeID(i)] = m.allocsDense[i]
-		}
+	for i := range m.allocsDense {
+		*m.Stats.AllocsByClassNode[NodeID(i)] = m.allocsDense[i]
 	}
 }
 
 // PerfCounters are the accounting plane's own deterministic meters:
 // accumulator adds vs shared-store commits (the batched write
 // reduction) and frame-pool recycling. The perf harness reports them;
-// they are not part of Stats so legacy and fast-path runs stay
+// they are not part of Stats so reference and fast-path runs stay
 // field-for-field comparable.
 type PerfCounters struct {
 	AccAdds, AccCommits       uint64
 	FramesFresh, FramesReused uint64
 }
 
-// PerfCounters reports the accounting plane's meters (zeros for
-// features the active mode has off).
+// PerfCounters reports the accounting plane's meters (the accumulator
+// and reuse meters stay zero on the exact reference).
 func (m *Memory) PerfCounters() PerfCounters {
 	pc := PerfCounters{FramesFresh: m.poolFresh, FramesReused: m.poolReuse}
 	if m.acc != nil {
@@ -525,7 +506,7 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 		m.Stats.ReserveDips++
 	}
 	n.used += pages
-	// ModePooled recycles retired Frame structs off the freelist;
+	// The fast path recycles retired Frame structs off the freelist;
 	// either way the frame gets a fresh, never-reused ID, so FrameID
 	// identity is stable across recycling.
 	var f *Frame
@@ -547,7 +528,7 @@ func (m *Memory) AllocOrder(node NodeID, class Class, order uint8, now sim.Time)
 		pos:        -1,
 	}
 	m.nextFrame++
-	if m.indexed {
+	if !m.exact {
 		f.pos = len(m.live)
 		m.live = append(m.live, f)
 		m.allocsDense[node][class] += uint64(pages)
@@ -580,7 +561,7 @@ func (f *Frame) Pages() int { return 1 << f.Order }
 // Occupancy is control flow (capacity limits consult it mid-run), so
 // both stores are updated exactly and this read never needs a flush.
 func (m *Memory) UsedByClass(node NodeID, class Class) int {
-	if m.indexed {
+	if !m.exact {
 		return m.usedDense[node][class]
 	}
 	return m.usedByClass[node][class]
@@ -589,7 +570,7 @@ func (m *Memory) UsedByClass(node NodeID, class Class) int {
 // KernelUsed reports a node's current page occupancy across all
 // kernel-object classes.
 func (m *Memory) KernelUsed(node NodeID) int {
-	if m.indexed {
+	if !m.exact {
 		u := &m.usedDense[node]
 		return u[ClassCache] + u[ClassSlab] + u[ClassKloc] + u[ClassMeta]
 	}
@@ -608,7 +589,7 @@ func (m *Memory) AllocFallback(order []NodeID, class Class, now sim.Time) (*Fram
 }
 
 // Free releases a frame. Freeing a frame that is not live is a no-op
-// (double free); note that under ModePooled the no-op guarantee only
+// (double free); note that on the fast path the no-op guarantee only
 // holds until the struct is recycled into a new allocation — the
 // sanitizer plane (alloc.Sanitizer) is the gate that proves callers
 // keep the single-free discipline that recycling relies on.
@@ -616,7 +597,7 @@ func (m *Memory) Free(f *Frame) {
 	if f == nil {
 		return
 	}
-	if m.indexed {
+	if !m.exact {
 		if f.pos < 0 || f.pos >= len(m.live) || m.live[f.pos] != f {
 			return // double free is a no-op
 		}
@@ -636,17 +617,17 @@ func (m *Memory) Free(f *Frame) {
 	}
 	m.Node(f.Node).used -= f.Pages()
 	f.Class = ClassFree
-	if m.pooled {
+	if !m.exact {
 		m.freeFrames = append(m.freeFrames, f)
 	}
 }
 
 // Frames returns the number of live frames.
 func (m *Memory) Frames() int {
-	if m.indexed {
-		return len(m.live)
+	if m.exact {
+		return len(m.frames)
 	}
-	return len(m.frames)
+	return len(m.live)
 }
 
 // FramesOn returns the live frames on a node, sorted by frame ID for
@@ -654,8 +635,8 @@ func (m *Memory) Frames() int {
 // map order are both arbitrary).
 func (m *Memory) FramesOn(node NodeID) []*Frame {
 	out := make([]*Frame, 0, m.Node(node).Used())
-	if m.indexed {
-		for _, f := range m.live {
+	if m.exact {
+		for _, f := range m.frames {
 			if f.Node == node {
 				out = append(out, f)
 			}
@@ -663,7 +644,7 @@ func (m *Memory) FramesOn(node NodeID) []*Frame {
 		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 		return out
 	}
-	for _, f := range m.frames {
+	for _, f := range m.live {
 		if f.Node == node {
 			out = append(out, f)
 		}
@@ -680,11 +661,14 @@ func (m *Memory) Access(cpu int, f *Frame, bytes int, write bool, now sim.Time) 
 	if write {
 		f.Dirty = true
 	}
-	// Reference accounting. Batched mode routes all three counters
+	// Reference accounting. The fast path routes all three counters
 	// through the per-CPU accumulator (net-delta commits, no map op);
-	// indexed mode at least replaces the per-access map increment with
-	// a dense-array one; legacy pays the map lookup per reference.
-	if m.batched {
+	// the exact reference pays the map lookup per reference.
+	if m.exact {
+		m.Stats.Refs[f.Class]++
+		m.Stats.BytesTouched[f.Class] += uint64(bytes)
+		m.Stats.RefsByNode[f.Node]++
+	} else {
 		lane := cpu
 		if lane < 0 || lane >= m.acc.CPUs() {
 			lane = 0
@@ -692,14 +676,6 @@ func (m *Memory) Access(cpu int, f *Frame, bytes int, write bool, now sim.Time) 
 		m.acc.Inc(lane, accRefCell+int(f.Class))
 		m.acc.Add(lane, accByteCell+int(f.Class), int64(bytes))
 		m.acc.Inc(lane, accNodeCell+int(f.Node))
-	} else {
-		m.Stats.Refs[f.Class]++
-		m.Stats.BytesTouched[f.Class] += uint64(bytes)
-		if m.indexed {
-			m.refsDense[f.Node]++
-		} else {
-			m.Stats.RefsByNode[f.Node]++
-		}
 	}
 	node := m.Node(f.Node)
 	sock := m.SocketOf(cpu)
@@ -767,7 +743,7 @@ func (m *Memory) MoveFrame(f *Frame, dst NodeID, fixed sim.Duration) (sim.Durati
 	dstN := m.Node(dst)
 	src.used -= f.Pages()
 	dstN.used += f.Pages()
-	if m.indexed {
+	if !m.exact {
 		m.usedDense[f.Node][f.Class] -= f.Pages()
 		m.usedDense[dst][f.Class] += f.Pages()
 	} else {

@@ -8,12 +8,12 @@
 // plain integers — the simulator is single-goroutine, so no locking is
 // needed, and snapshots are cheap value copies.
 //
-// The package also defines Mode, the module-wide accounting-path
-// selector: subsystems with hot-path counters (memsim, trace, kernel,
-// kloc) consult a Mode to choose between the legacy per-event stores
-// and the batched/pooled/indexed fast paths that PERFORMANCE.md
-// benchmarks. The contract every implementation must keep: accounting
-// is invisible to the simulation (it charges no virtual cost and
+// The hot-path counters elsewhere in the module (memsim, trace, kernel,
+// kloc) run on one fast accounting path — batched, pooled, densely
+// indexed — or, when a run sets harness.RunConfig.ExactAccounting, on
+// the exact per-event reference that PERFORMANCE.md benchmarks it
+// against (DESIGN.md §13). The contract both paths keep: accounting is
+// invisible to the simulation (it charges no virtual cost and
 // influences no control flow), and any value a reader can observe is
 // exact at the moment of reading — batched stores flush before a read
 // (memsim.SyncStats, trace.Tracer.Stats), so no caller ever sees a

@@ -1,8 +1,8 @@
-// Package perfbench is the variant-comparison benchmark harness behind
+// Package perfbench is the accounting A/B benchmark harness behind
 // `klocbench -exp perf` (PERFORMANCE.md). It runs the same workload
-// sweep under named accounting variants — per-event baseline counters,
-// per-CPU batched accumulators, pooled records, dense indices — and
-// reports, per stage and variant, a deterministic core (events
+// sweep on the fast accounting path (per-CPU batched accumulators,
+// pooled records, dense indices) and on the exact per-event reference,
+// and reports, per stage and variant, a deterministic core (events
 // processed, accumulator adds vs committed net deltas, pool recycling,
 // trace summary commits) plus, when a wall clock is injected, wall
 // metrics (events/sec, sampled p95 ns/event, a long-block contention
@@ -37,14 +37,16 @@ import (
 	"kloc/internal/harness"
 	"kloc/internal/kloc"
 	"kloc/internal/memsim"
-	"kloc/internal/metrics"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
 )
 
 // SchemaVersion stamps BENCH_perf.json so downstream consumers can
-// detect shape changes. Version 2 added the lane_sweep section.
-const SchemaVersion = 2
+// detect shape changes. Version 2 added the lane_sweep section;
+// version 3 cut the catalog to baseline and full, replaced each
+// variant's mode string with an exact flag, and dropped the per-row
+// mode column.
+const SchemaVersion = 3
 
 // Config tunes a perf sweep.
 type Config struct {
@@ -64,28 +66,20 @@ type Config struct {
 
 // Variant names one accounting configuration under test.
 type Variant struct {
-	Name string       `json:"name"`
-	Mode metrics.Mode `json:"-"`
-	// ModeString renders Mode for the report ("baseline", "batched",
-	// "default", ...).
-	ModeString string `json:"mode"`
+	Name string `json:"name"`
+	// Exact selects the per-event reference accounting path; false is
+	// the fast path every production run takes.
+	Exact bool `json:"exact"`
 }
 
-// Variants is the sweep's catalog: the baseline (exact per-event
-// accounting everywhere), each optimization in isolation, and the full
-// default stack. PERFORMANCE.md documents how to add one.
+// Variants is the sweep's catalog, baseline first: the exact per-event
+// reference and the full fast path. PERFORMANCE.md explains how a new
+// optimization is A/B'd against the reference.
 func Variants() []Variant {
-	vs := []Variant{
-		{Name: "baseline", Mode: metrics.LegacyMode()},
-		{Name: "batched", Mode: metrics.LegacyMode() | metrics.ModeBatched},
-		{Name: "pooled", Mode: metrics.LegacyMode() | metrics.ModePooled},
-		{Name: "indexed", Mode: metrics.LegacyMode() | metrics.ModeIndexed},
-		{Name: "full", Mode: metrics.DefaultMode()},
+	return []Variant{
+		{Name: "baseline", Exact: true},
+		{Name: "full"},
 	}
-	for i := range vs {
-		vs[i].ModeString = vs[i].Mode.String()
-	}
-	return vs
 }
 
 // Counters is the deterministic core every stage reports: how much
@@ -125,7 +119,6 @@ type WallRow struct {
 type StageRow struct {
 	Stage   string `json:"stage"`
 	Variant string `json:"variant"`
-	Mode    string `json:"mode"`
 	Events  uint64 `json:"events"`
 	Counters
 	Wall *WallRow `json:"wall,omitempty"`
@@ -255,7 +248,7 @@ type stageDef struct {
 	// first (JIT-warm caches, grown maps); the end-to-end stage warms
 	// up inside harness.Run instead.
 	warmup bool
-	build  func(mode metrics.Mode, cfg Config) (*stageRun, error)
+	build  func(exact bool, cfg Config) (*stageRun, error)
 }
 
 func stages() []stageDef {
@@ -298,9 +291,9 @@ func microBlocks(total int, step func(i int)) []func() int {
 // buildTraceBurst exercises the tracer's Emit hot path: a bursty
 // stream (runs of the same context, rotating event names) that the
 // batched summary path can run-length compress.
-func buildTraceBurst(mode metrics.Mode, cfg Config) (*stageRun, error) {
+func buildTraceBurst(exact bool, cfg Config) (*stageRun, error) {
 	total := stageEvents(cfg, 1<<18)
-	tr := trace.New(trace.Config{Mode: mode, BufferEvents: 1 << 12})
+	tr := trace.New(trace.Config{Exact: exact, BufferEvents: 1 << 12})
 	step := func(i int) {
 		// Context changes every 256 events: long runs for the batched
 		// path, but enough breaks to exercise its flush. The name
@@ -328,13 +321,13 @@ func buildTraceBurst(mode metrics.Mode, cfg Config) (*stageRun, error) {
 }
 
 // buildAllocChurn exercises the frame alloc/access/free hot path over
-// a sliding window of live frames: the pooled variant recycles Frame
-// structs, the batched variant accumulates access stats, the indexed
-// variant keeps the live table dense.
-func buildAllocChurn(mode metrics.Mode, cfg Config) (*stageRun, error) {
+// a sliding window of live frames: the fast path recycles Frame
+// structs, accumulates access stats per CPU and keeps the live table
+// dense.
+func buildAllocChurn(exact bool, cfg Config) (*stageRun, error) {
 	total := stageEvents(cfg, 1<<17)
 	mem := memsim.NewTwoTier(memsim.DefaultTwoTier(1024))
-	mem.SetMode(mode)
+	mem.SetExact(exact)
 	const window = 64
 	live := make([]*memsim.Frame, 0, window)
 	step := func(i int) {
@@ -366,12 +359,12 @@ func buildAllocChurn(mode metrics.Mode, cfg Config) (*stageRun, error) {
 }
 
 // buildKnodeIndex exercises the knode registry's by-ID hot path
-// (TouchID/GetByID on every page access attribution): the indexed
-// variant replaces the ID map with a dense slice.
-func buildKnodeIndex(mode metrics.Mode, cfg Config) (*stageRun, error) {
+// (TouchID/GetByID on every page access attribution): the fast path
+// replaces the ID map with a dense slice.
+func buildKnodeIndex(exact bool, cfg Config) (*stageRun, error) {
 	total := stageEvents(cfg, 1<<17)
 	mem := memsim.NewTwoTier(memsim.DefaultTwoTier(1024))
-	mem.SetMode(mode)
+	mem.SetExact(exact)
 	reg := kloc.NewRegistry(mem, 4)
 	const knodes = 512
 	ids := make([]kloc.KnodeID, 0, knodes)
@@ -400,10 +393,10 @@ func buildKnodeIndex(mode metrics.Mode, cfg Config) (*stageRun, error) {
 }
 
 // buildEnd2End runs one full measured simulation (policy, workload,
-// daemons, tracing off) under the variant's accounting mode. It is a
+// daemons, tracing off) on the variant's accounting path. It is a
 // single block: harness.Run is indivisible, so p95 degenerates to the
 // mean and the contention proxy stays zero for this stage.
-func buildEnd2End(mode metrics.Mode, cfg Config) (*stageRun, error) {
+func buildEnd2End(exact bool, cfg Config) (*stageRun, error) {
 	duration := 100 * sim.Millisecond
 	if cfg.Quick {
 		duration = 20 * sim.Millisecond
@@ -411,11 +404,11 @@ func buildEnd2End(mode metrics.Mode, cfg Config) (*stageRun, error) {
 	var meters Counters
 	block := func() int {
 		res, err := harness.Run(harness.RunConfig{
-			PolicyName: "klocs",
-			Workload:   "rocksdb",
-			Seed:       cfg.Seed,
-			Duration:   duration,
-			Accounting: mode,
+			PolicyName:      "klocs",
+			Workload:        "rocksdb",
+			Seed:            cfg.Seed,
+			Duration:        duration,
+			ExactAccounting: exact,
 		})
 		if err != nil {
 			return 0
@@ -495,7 +488,6 @@ func laneSweep(cfg Config, rep *Report, t *harness.Table) error {
 		Workload:   "rocksdb",
 		Seed:       cfg.Seed,
 		Duration:   duration,
-		Accounting: metrics.DefaultMode(),
 	}
 
 	// Solo pass: each shard alone through plain harness.Run, timed.
@@ -627,7 +619,7 @@ func measure(run *stageRun, now func() int64) (events uint64, wall *WallRow) {
 	}
 }
 
-// Run executes the sweep: every stage under every variant, baseline
+// Run executes the sweep: every stage under both variants, baseline
 // first so speedups have their denominator. It returns the rendered
 // table and the machine-readable report.
 func Run(cfg Config) (*harness.Table, *Report, error) {
@@ -649,7 +641,7 @@ func Run(cfg Config) (*harness.Table, *Report, error) {
 		rep.Stages = append(rep.Stages, d.name)
 	}
 	t := &harness.Table{
-		Title: "Hot-path accounting — same simulated work under each variant",
+		Title: "Hot-path accounting — same simulated work on the fast path vs the exact reference",
 		Note: "deterministic core always; events/sec, p95 ns/event, long blocks (contention proxy) " +
 			"and allocs/op need an injected wall clock (see PERFORMANCE.md); lane-sweep rows run " +
 			"the same 4-shard fleet at each worker count — results identical by contract, " +
@@ -662,7 +654,7 @@ func Run(cfg Config) (*harness.Table, *Report, error) {
 	for _, d := range defs {
 		for _, v := range rep.Variants {
 			if d.warmup {
-				warm, err := d.build(v.Mode, Config{Seed: cfg.Seed, Quick: true})
+				warm, err := d.build(v.Exact, Config{Seed: cfg.Seed, Quick: true})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -672,7 +664,7 @@ func Run(cfg Config) (*harness.Table, *Report, error) {
 					block()
 				}
 			}
-			run, err := d.build(v.Mode, cfg)
+			run, err := d.build(v.Exact, cfg)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -680,7 +672,7 @@ func Run(cfg Config) (*harness.Table, *Report, error) {
 			if events == 0 {
 				return nil, nil, fmt.Errorf("perfbench: stage %s/%s processed no events", d.name, v.Name)
 			}
-			row := StageRow{Stage: d.name, Variant: v.Name, Mode: v.ModeString,
+			row := StageRow{Stage: d.name, Variant: v.Name,
 				Events: events, Counters: run.counters()}
 			cells := []string{d.name, v.Name, fmt.Sprintf("%d", events),
 				fmt.Sprintf("%d", row.AccAdds), fmt.Sprintf("%d", row.AccCommits),

@@ -3,19 +3,18 @@ package trace
 import (
 	"testing"
 
-	"kloc/internal/metrics"
 	"kloc/internal/sim"
 )
 
 // TestEmitSteadyStateAllocFree: once the ring and the per-context
-// tables are warm, Emit under the default accounting mode must not
+// tables are warm, Emit on the default fast accounting path must not
 // touch the heap — the ring recycles Event slots, the merged
 // name-state table and MRU register avoid per-event map inserts, and
 // summary counts commit in run lengths. This pins the perfbench
 // alloc-churn result (allocs/op ~ 0 on the trace path) as a
 // regression test.
 func TestEmitSteadyStateAllocFree(t *testing.T) {
-	tr := New(Config{Mode: metrics.DefaultMode(), BufferEvents: 1 << 10})
+	tr := New(Config{BufferEvents: 1 << 10})
 	// Warm up: touch every context, name, and ring slot the measured
 	// loop will use, past the ring's wrap point.
 	var now sim.Time
@@ -39,12 +38,12 @@ func TestEmitSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestEmitLegacyStillBounded: the legacy mode keeps exact per-event
+// TestEmitLegacyStillBounded: the exact reference keeps per-event
 // summary counting; it may allocate while tables grow but must also
-// settle once contexts and names are warm (the ring is recycled in
-// every mode).
+// settle once contexts and names are warm (the ring is recycled on
+// both paths).
 func TestEmitLegacyStillBounded(t *testing.T) {
-	tr := New(Config{Mode: metrics.LegacyMode(), BufferEvents: 1 << 10})
+	tr := New(Config{Exact: true, BufferEvents: 1 << 10})
 	var now sim.Time
 	for i := 0; i < 1<<12; i++ {
 		now += 100
@@ -59,6 +58,6 @@ func TestEmitLegacyStillBounded(t *testing.T) {
 		}
 	})
 	if avg > 1 {
-		t.Fatalf("legacy Emit allocated %.2f objects per 64-event burst in steady state", avg)
+		t.Fatalf("exact-reference Emit allocated %.2f objects per 64-event burst in steady state", avg)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"path"
 	"sort"
 
-	"kloc/internal/metrics"
 	"kloc/internal/sim"
 )
 
@@ -149,15 +148,17 @@ type Config struct {
 	// SummaryWindow is the virtual-time bucket for per-context summary
 	// counts (default 10 ms).
 	SummaryWindow sim.Duration
-	// Mode selects the summary-accounting path (DESIGN.md §13). The
-	// zero value resolves to metrics.DefaultMode: one merged name-state
-	// lookup per event (ModeIndexed) and run-length batched context/
-	// window commits (ModeBatched). Every mode records byte-identical
-	// events and summaries; only the per-event bookkeeping cost
-	// differs. The ring buffer is natively pooled in every mode — it
-	// is a fixed preallocated array reused in overwrite order — which
-	// is what keeps steady-state Emit at zero heap allocations.
-	Mode metrics.Mode
+	// Exact selects the per-event reference summary accounting
+	// (DESIGN.md §13): two per-name map lookups and a context/window
+	// write on every event. The zero value is the fast path: one
+	// merged name-state lookup per event and run-length batched
+	// context/window commits. Both record byte-identical events and
+	// summaries; only the per-event bookkeeping cost differs. A
+	// harness run overrides this with RunConfig.ExactAccounting, so
+	// the tracer always follows its run. The ring buffer is a fixed
+	// preallocated array reused in overwrite order on both paths,
+	// which is what keeps steady-state Emit at zero heap allocations.
+	Exact bool
 }
 
 // Defaults for zero Config fields.
@@ -181,9 +182,9 @@ type ctxStat struct {
 	windows []uint64
 }
 
-// nameState is the merged per-name record of the ModeIndexed fast
-// path: one map lookup answers both "is this name enabled" and "where
-// does its count live".
+// nameState is the merged per-name record of the fast path: one map
+// lookup answers both "is this name enabled" and "where does its count
+// live".
 type nameState struct {
 	enabled bool
 	//klocs:owner=lane
@@ -198,9 +199,9 @@ type nameState struct {
 // instance's timeline partition.
 type Tracer struct {
 	cfg Config
-	// enabled/byName are the legacy per-name stores (two lookups per
-	// event); names merges them under ModeIndexed (one lookup, usually
-	// zero thanks to the lastName MRU register).
+	// enabled/byName are the exact reference's per-name stores (two
+	// lookups per event); the fast path merges them in names (one
+	// lookup, usually zero thanks to the lastName MRU register).
 	//klocs:owner=lane
 	enabled map[Name]bool
 	//klocs:owner=lane
@@ -219,12 +220,11 @@ type Tracer struct {
 	//klocs:owner=lane
 	byCtx map[uint64]*ctxStat
 
-	// batched selects run-length context/window commits (ModeBatched):
+	// The fast path commits context/window counts in run lengths:
 	// consecutive events against the same context in the same summary
 	// window accumulate in the registers below and commit as one net
 	// delta when the run breaks (or on Stats). summaryCommits counts
 	// those commits — the deterministic write-reduction meter.
-	batched bool
 	//klocs:owner=lane
 	lastName Name
 	//klocs:owner=lane
@@ -250,16 +250,15 @@ func New(cfg Config) *Tracer {
 		cfg.SummaryWindow = DefaultSummaryWindow
 	}
 	t := &Tracer{
-		cfg:     cfg,
-		ring:    make([]Event, 0, cfg.BufferEvents),
-		byCtx:   make(map[uint64]*ctxStat),
-		batched: cfg.Mode.Batched(),
+		cfg:   cfg,
+		ring:  make([]Event, 0, cfg.BufferEvents),
+		byCtx: make(map[uint64]*ctxStat),
 	}
-	if cfg.Mode.Indexed() {
-		t.names = make(map[Name]*nameState)
-	} else {
+	if cfg.Exact {
 		t.enabled = make(map[Name]bool)
 		t.byName = make(map[Name]uint64)
+	} else {
+		t.names = make(map[Name]*nameState)
 	}
 	return t
 }
@@ -301,30 +300,30 @@ func (t *Tracer) flushPending() {
 }
 
 // nameCounts lists per-event-name totals in name order, reading
-// whichever per-name store the mode keeps. Names with zero emissions
-// are enablement memos, not counts, and are skipped — the legacy
+// whichever per-name store the path keeps. Names with zero emissions
+// are enablement memos, not counts, and are skipped — the reference
 // byName map only ever holds emitted names, and the two stores must
 // summarize identically.
 func (t *Tracer) nameCounts() []NameCount {
 	var out []NameCount
-	if t.names != nil {
-		for name, ns := range t.names {
-			if ns.count > 0 {
-				out = append(out, NameCount{Name: name, Count: ns.count})
-			}
+	if t.cfg.Exact {
+		for name, n := range t.byName {
+			out = append(out, NameCount{Name: name, Count: n})
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 		return out
 	}
-	for name, n := range t.byName {
-		out = append(out, NameCount{Name: name, Count: n})
+	for name, ns := range t.names {
+		if ns.count > 0 {
+			out = append(out, NameCount{Name: name, Count: ns.count})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// SummaryCommits reports the batched path's context-summary commits
-// (0 in legacy mode, where every event writes through). Deterministic:
+// SummaryCommits reports the fast path's context-summary commits (0
+// on the exact reference, where every event writes through). Deterministic:
 // a pure function of the emitted event sequence.
 func (t *Tracer) SummaryCommits() uint64 {
 	if t == nil {
@@ -339,7 +338,7 @@ func (t *Tracer) Enabled(name Name) bool {
 	if t == nil {
 		return false
 	}
-	if t.names != nil {
+	if !t.cfg.Exact {
 		return t.nameState(name).enabled
 	}
 	on, ok := t.enabled[name]
@@ -369,8 +368,8 @@ func matchAny(patterns []string, s string) bool {
 
 // Emit records one event. Nil-safe and strictly passive: no virtual
 // cost, no randomness, no observable effect on the simulation. The
-// recorded events and summary totals are byte-identical in every
-// accounting mode; the fast paths only change how many shared-store
+// recorded events and summary totals are byte-identical on both
+// accounting paths; the fast path only changes how many shared-store
 // writes the bookkeeping costs (DESIGN.md §13).
 //
 // The phase pin below asserts per-instance confinement: a Tracer is
@@ -385,11 +384,11 @@ func (t *Tracer) Emit(name Name, at sim.Time, ctx, obj uint64, class string, nod
 	if t == nil {
 		return
 	}
-	// Per-name accounting: merged single-lookup state under
-	// ModeIndexed (with an MRU register, since emission is bursty), the
-	// legacy enabled+byName map pair otherwise.
+	// Per-name accounting: merged single-lookup state on the fast path
+	// (with an MRU register, since emission is bursty), the reference
+	// enabled+byName map pair otherwise.
 	var ns *nameState
-	if t.names != nil {
+	if !t.cfg.Exact {
 		if name == t.lastName && t.lastState != nil {
 			ns = t.lastState
 		} else {
@@ -427,7 +426,7 @@ func (t *Tracer) Emit(name Name, at sim.Time, ctx, obj uint64, class string, nod
 	if w >= maxSummaryWindows {
 		w = maxSummaryWindows - 1
 	}
-	if t.batched {
+	if !t.cfg.Exact {
 		// Run-length commit: same context, same window — just extend
 		// the pending run; the net delta commits when the run breaks.
 		if t.pStat != nil && ctx == t.pCtx && w == t.pWin {

@@ -45,7 +45,6 @@ import (
 	"kloc/internal/kloc"
 	"kloc/internal/kobj"
 	"kloc/internal/memsim"
-	"kloc/internal/metrics"
 	"kloc/internal/perfbench"
 	"kloc/internal/policy"
 	"kloc/internal/pressure"
@@ -441,19 +440,17 @@ func ParseChaosArtifact(data []byte) (*ChaosArtifact, error) { return chaos.Pars
 func ChaosReplay(a *ChaosArtifact) (*ChaosReplayReport, error) { return chaos.Replay(a) }
 
 // Hot-path accounting and the perf harness (DESIGN.md §13,
-// PERFORMANCE.md).
+// PERFORMANCE.md). Every run takes the fast accounting path (per-CPU
+// batched stat commits, pooled records, dense indices) unless
+// RunConfig.ExactAccounting selects the exact per-event reference;
+// both produce byte-identical simulation results.
 type (
-	// AccountingMode selects the hot-path accounting variant for a run
-	// (RunConfig.Accounting): batched per-CPU stat commits, pooled
-	// records, dense indices, or the exact per-event baseline. The
-	// zero value resolves to the default (all optimizations on); every
-	// mode produces byte-identical simulation results.
-	AccountingMode = metrics.Mode
 	// PerfConfig tunes a perf sweep ("klocbench -exp perf").
 	PerfConfig = perfbench.Config
 	// PerfReport is the machine-readable sweep (BENCH_perf.json).
 	PerfReport = perfbench.Report
-	// PerfVariant is one named accounting configuration under test.
+	// PerfVariant is one named accounting path under test ("baseline"
+	// is the exact reference, "full" the fast path).
 	PerfVariant = perfbench.Variant
 	// PerfStageRow is one (stage, variant) measurement in a PerfReport.
 	PerfStageRow = perfbench.StageRow
@@ -465,26 +462,13 @@ type (
 	RunPerfMeters = harness.PerfMeters
 )
 
-// Accounting mode bits (combine with LegacyAccounting()).
-const (
-	ModeBatched = metrics.ModeBatched
-	ModePooled  = metrics.ModePooled
-	ModeIndexed = metrics.ModeIndexed
-)
-
-// DefaultAccounting is the default mode: batched + pooled + indexed.
-func DefaultAccounting() AccountingMode { return metrics.DefaultMode() }
-
-// LegacyAccounting is the exact per-event baseline (the perf sweep's
-// control variant).
-func LegacyAccounting() AccountingMode { return metrics.LegacyMode() }
-
 // PerfSchemaVersion stamps BENCH_perf.json.
 const PerfSchemaVersion = perfbench.SchemaVersion
 
-// PerfBench runs the accounting-variant sweep ("klocbench -exp perf")
-// and returns the rendered table plus the machine-readable report.
+// PerfBench runs the accounting sweep, fast path vs exact reference
+// ("klocbench -exp perf"), and returns the rendered table plus the
+// machine-readable report.
 func PerfBench(cfg PerfConfig) (*Table, *PerfReport, error) { return perfbench.Run(cfg) }
 
-// PerfVariants lists the sweep's accounting variants in run order.
+// PerfVariants lists the sweep's two accounting variants in run order.
 func PerfVariants() []PerfVariant { return perfbench.Variants() }
