@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"kloc/internal/fault"
+	mach "kloc/internal/machine"
 	"kloc/internal/metrics"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
@@ -415,6 +416,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.tr = trace.New(*cfg.Trace)
 	}
 	root := sim.NewRNG(cfg.Seed)
+	var stacks []*mach.Machine
 	for i := 0; i < cfg.Machines; i++ {
 		m, err := newMachine(cfg, c.eng, i, root.Fork())
 		if err != nil {
@@ -422,23 +424,13 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		m.c = c
 		c.machines = append(c.machines, m)
+		stacks = append(stacks, m.Machine)
 	}
 	c.clientRNG = root.Fork()
 	c.groupZipf = sim.NewZipf(c.clientRNG.Fork(), cfg.GroupSkew, cfg.Groups)
 	c.lb = newBalancer(c, rt)
 	c.health = newHealthChecker(c)
-
-	// Warp past every machine's setup storage backlog so the measured
-	// window starts with idle devices, as single-kernel runs do.
-	horizon := c.eng.Now()
-	for _, m := range c.machines {
-		if h := sim.Time(m.k.FS.MQ.Dev.BusyUntil()); h > horizon {
-			horizon = h
-		}
-	}
-	if horizon > c.eng.Now() {
-		c.eng.RunUntil(horizon)
-	}
+	mach.WarpPastSetup(c.eng, stacks...)
 	return c, nil
 }
 
@@ -534,7 +526,7 @@ func (c *Cluster) Run() (*Report, error) {
 				}
 			}
 			if kernelRules != nil {
-				m.k.InjectFaults(fault.NewPlane(fault.Config{
+				m.K.InjectFaults(fault.NewPlane(fault.Config{
 					Seed:  cfg.Seed ^ (uint64(i)+1)<<32,
 					Rules: kernelRules,
 				}))
@@ -546,7 +538,7 @@ func (c *Cluster) Run() (*Report, error) {
 	}
 
 	for _, m := range c.machines {
-		m.k.Start()
+		m.K.Start()
 	}
 	c.health.start(c.eng, warmStart)
 
@@ -630,19 +622,15 @@ func EstimateServiceCost(cfg Config) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	c := &Cluster{cfg: cfg, eng: eng}
-	m.c = c
-	if h := sim.Time(m.k.FS.MQ.Dev.BusyUntil()); h > eng.Now() {
-		eng.RunUntil(h)
-	}
-	m.k.Start()
+	mach.WarpPastSetup(eng, m.Machine)
+	m.K.Start()
 	zipf := sim.NewZipf(root.Fork(), cfg.GroupSkew, cfg.Groups)
 	const probes = 512
 	var total sim.Duration
 	for i := 0; i < probes; i++ {
 		hot := m.hotTouch(uint64(zipf.Next()))
-		cost, _, err := m.step(eng, i%cfg.Workers)
-		if err != nil {
+		cost, err := m.Op(i%cfg.Workers%m.WL.Threads(), m.rng)
+		if err != nil && !fault.IsErrno(err) {
 			return 0, wrapErr("probe", err)
 		}
 		if !hot {
@@ -651,6 +639,5 @@ func EstimateServiceCost(cfg Config) (sim.Duration, error) {
 		total += cost
 		eng.RunUntil(eng.Now().Add(cost))
 	}
-	eng.Halt()
 	return total / probes, nil
 }

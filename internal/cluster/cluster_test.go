@@ -241,7 +241,7 @@ func TestMachinesRecycleOpContexts(t *testing.T) {
 	}
 	var fresh, reused uint64
 	for _, m := range c.machines {
-		f, r := m.k.CtxPoolCounters()
+		f, r := m.K.CtxPoolCounters()
 		fresh += f
 		reused += r
 	}

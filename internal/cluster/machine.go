@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"kloc/internal/fault"
-	"kloc/internal/kernel"
+	mach "kloc/internal/machine"
 	"kloc/internal/memsim"
 	"kloc/internal/policy"
 	"kloc/internal/sim"
 	"kloc/internal/trace"
-	"kloc/internal/workload"
 )
 
 // machine is one simulated backend: a complete kernel + memory +
@@ -18,10 +17,9 @@ import (
 // when the request's KLOC context group is cold on this machine or
 // when the machine's fast tier is degraded.
 type machine struct {
+	*mach.Machine
 	id int
 	c  *Cluster
-	k  *kernel.Kernel
-	wl workload.Workload
 	// rng is this machine's private stream (forked per machine by the
 	// cluster); only the lane driving the machine draws from it.
 	//klocs:owner=lane
@@ -66,28 +64,21 @@ func newMachine(cfg Config, eng *sim.Engine, id int, rng *sim.RNG) (*machine, er
 		// per-thread workload state (e.g. redis client sockets).
 		wcfg.Threads = cfg.Workers
 	}
-	wl, err := workload.ByName(cfg.Workload, wcfg)
-	if err != nil {
-		return nil, wrapErr("workload", err)
-	}
-	k := kernel.New(eng, mem, pol)
 	// Fork the workload's stream before the machine takes ownership of
 	// rng: after the handoff the machine must be the only reader.
-	wlRNG := rng.Fork()
-	m := &machine{
+	sm, err := mach.New(eng, mem, pol, cfg.Workload, wcfg, rng.Fork(), nil)
+	if err != nil {
+		return nil, wrapErr("machine", err)
+	}
+	return &machine{
+		Machine: sm,
 		id:      id,
-		k:       k,
-		wl:      wl,
 		rng:     rng,
 		up:      true,
 		healthy: true,
 		workers: cfg.Workers,
 		hotCap:  cfg.HotCap,
-	}
-	if err := wl.Setup(k, wlRNG); err != nil {
-		return nil, wrapErr("setup", err)
-	}
-	return m, nil
+	}, nil
 }
 
 // hotTouch reports whether the group was hot and makes it the
@@ -237,10 +228,17 @@ func (m *machine) startService(e *sim.Engine, at *attempt) {
 	at.serviceEpoch = m.epoch
 	m.serving = append(m.serving, at)
 	hot := m.hotTouch(at.req.group)
-	cost, errno, err := m.step(e, slot)
-	if err != nil {
+	// Errno-style failures degrade the request (the client sees a
+	// retryable server error); anything else is a harness bug and
+	// aborts the run.
+	cost, err := m.Op(slot%m.WL.Threads(), m.rng)
+	errno, isErrno := fault.AsErrno(err)
+	if err != nil && !isErrno {
 		m.c.fatal(e, err)
 		return
+	}
+	if isErrno && m.c.measuring {
+		m.c.stats.ServerErrors++
 	}
 	if !hot {
 		cost = sim.Duration(float64(cost) * m.c.cfg.ColdPenalty)
@@ -254,33 +252,6 @@ func (m *machine) startService(e *sim.Engine, at *attempt) {
 		cost = sim.Duration(float64(cost) * m.c.cfg.DegradeFactor)
 	}
 	e.After(cost, func(e *sim.Engine) { m.complete(e, at, errno) })
-}
-
-// step executes one workload operation on a worker slot and returns
-// its virtual cost. Errno-style failures degrade the request (the
-// client sees a retryable server error); anything else is a harness
-// bug and aborts the run.
-func (m *machine) step(e *sim.Engine, slot int) (sim.Duration, fault.Errno, error) {
-	thread := slot % m.wl.Threads()
-	ctx := m.k.NewCtx(thread)
-	err := m.wl.Step(m.k, ctx, thread, m.rng)
-	cost := ctx.Cost
-	// The op has retired and nothing downstream retains ctx, so it goes
-	// back to the kernel's pool on the success and errno paths alike.
-	m.k.PutCtx(ctx)
-	if cost < 100 {
-		cost = 100
-	}
-	if err != nil {
-		if errno, ok := fault.AsErrno(err); ok {
-			if m.c.measuring {
-				m.c.stats.ServerErrors++
-			}
-			return cost, errno, nil
-		}
-		return cost, 0, err
-	}
-	return cost, 0, nil
 }
 
 // complete finishes one service: frees the worker slot (unless the

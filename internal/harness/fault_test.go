@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -106,5 +107,20 @@ func TestFaultsExperimentRuns(t *testing.T) {
 	}
 	if tb.Rows[2][5] == "0" {
 		t.Fatalf("rate-1e-3 row never injected: %v", tb.Rows[2])
+	}
+}
+
+// TestFaultAndScheduleRejectedBeforeBuild: arming both Fault and
+// FaultSchedule is an invalid config, rejected with EINVAL before any
+// machine is built — so even a config whose workload could not be
+// built reports the conflict, not the build failure.
+func TestFaultAndScheduleRejectedBeforeBuild(t *testing.T) {
+	fcfg := fault.Uniform(7, 0)
+	for _, wl := range []string{"rocksdb", "no-such-workload"} {
+		cfg := quickRun(RunConfig{PolicyName: "klocs", Workload: wl,
+			Fault: &fcfg, FaultSchedule: &fault.Schedule{}})
+		if _, err := Run(cfg); !errors.Is(err, fault.EINVAL) {
+			t.Fatalf("%s: Fault+FaultSchedule: err = %v, want EINVAL", wl, err)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"kloc/internal/fault"
 	"kloc/internal/fs"
 	"kloc/internal/kernel"
+	"kloc/internal/machine"
 	"kloc/internal/memsim"
 	"kloc/internal/metrics"
 	"kloc/internal/netsim"
@@ -273,14 +274,11 @@ func Run(cfg RunConfig) (*Result, error) {
 // (and the state the scheduled closures mutate) belong to the one
 // goroutine driving p.eng — lane-confined under the sharded plan.
 type preparedRun struct {
-	cfg    RunConfig
-	eng    *sim.Engine
-	k      *kernel.Kernel
-	pol    kernel.Policy
-	wl     workload.Workload
-	tracer *trace.Tracer
-	plane  *fault.Plane
-	start  sim.Time
+	cfg   RunConfig
+	eng   *sim.Engine
+	m     *machine.Machine
+	plane *fault.Plane
+	start sim.Time
 
 	threads     int
 	done        int
@@ -297,6 +295,9 @@ type preparedRun struct {
 // goroutine, so it is init-phase: call it before the lanes start.
 func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Fault != nil && cfg.FaultSchedule != nil {
+		return nil, fmt.Errorf("harness: Fault and FaultSchedule are mutually exclusive: %w", fault.EINVAL)
+	}
 	mem := cfg.buildMemory()
 	mem.SetExact(cfg.ExactAccounting)
 	pol := cfg.Policy
@@ -307,55 +308,43 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 			return nil, err
 		}
 	}
-	wl, err := workload.ByName(cfg.Workload, cfg.WLConfig)
-	if err != nil {
-		return nil, err
-	}
-
-	k := kernel.New(eng, mem, pol)
-	k.FS.KlocAwareReadahead = cfg.KlocPrefetch
-	if cfg.ReadaheadWindow != 0 {
-		w := cfg.ReadaheadWindow
-		if w < 0 {
-			w = 0
-		}
-		k.FS.ReadaheadWindow = w
-	}
-	// Attach the tracer before setup: the plane is strictly passive, so
-	// a traced run is bit-identical to an untraced one, and setup-phase
-	// allocations (the long-lived object population) appear in the
-	// trace.
-	var tracer *trace.Tracer
-	if cfg.Trace != nil {
-		tc := *cfg.Trace
-		tc.Exact = cfg.ExactAccounting
-		tracer = trace.New(tc)
-		k.AttachTracer(tracer)
-	}
-	// The sanitizer attaches before setup for the same reason: it is
-	// strictly passive, and setup-phase allocations must be tracked or
-	// the teardown leak scan would miss the long-lived population.
-	if cfg.Sanitize {
-		k.AttachSanitizer(alloc.NewSanitizer())
-	}
 	root := sim.NewRNG(cfg.Seed)
-	if err := wl.Setup(k, root); err != nil {
-		return nil, fmt.Errorf("harness: setup %s: %w", wl.Name(), err)
+	m, err := machine.New(eng, mem, pol, cfg.Workload, cfg.WLConfig, root, func(k *kernel.Kernel) {
+		k.FS.KlocAwareReadahead = cfg.KlocPrefetch
+		if cfg.ReadaheadWindow != 0 {
+			w := cfg.ReadaheadWindow
+			if w < 0 {
+				w = 0
+			}
+			k.FS.ReadaheadWindow = w
+		}
+		// Attach the tracer before setup: the plane is strictly passive,
+		// so a traced run is bit-identical to an untraced one, and
+		// setup-phase allocations (the long-lived object population)
+		// appear in the trace.
+		if cfg.Trace != nil {
+			tc := *cfg.Trace
+			tc.Exact = cfg.ExactAccounting
+			k.AttachTracer(trace.New(tc))
+		}
+		// The sanitizer attaches before setup for the same reason: it is
+		// strictly passive, and setup-phase allocations must be tracked
+		// or the teardown leak scan would miss the long-lived population.
+		if cfg.Sanitize {
+			k.AttachSanitizer(alloc.NewSanitizer())
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
-	// Warp past the setup phase's storage backlog: the measured window
-	// starts with an idle device, as the paper's warmed-up runs do.
-	if horizon := sim.Time(k.FS.MQ.Dev.BusyUntil()); horizon > eng.Now() {
-		eng.RunUntil(horizon)
-	}
+	k, wl := m.K, m.WL
+	machine.WarpPastSetup(eng, m)
 	setupEnd := eng.Now()
 	start := setupEnd.Add(cfg.Warmup)
 	// Arm the fault plane only now: setup ran clean, and the plane's
 	// per-point RNG streams start from the configured seed regardless of
 	// how long setup took, so traces are comparable across policies.
 	var plane *fault.Plane
-	if cfg.Fault != nil && cfg.FaultSchedule != nil {
-		return nil, fmt.Errorf("harness: Fault and FaultSchedule are mutually exclusive: %w", fault.EINVAL)
-	}
 	if cfg.Fault != nil {
 		plane = fault.NewPlane(*cfg.Fault)
 	} else if cfg.FaultSchedule != nil {
@@ -374,8 +363,7 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 	k.Start()
 
 	p := &preparedRun{
-		cfg: cfg, eng: eng, k: k, pol: pol, wl: wl,
-		tracer: tracer, plane: plane, start: start,
+		cfg: cfg, eng: eng, m: m, plane: plane, start: start,
 		threads: wl.Threads(),
 	}
 	perThread := wl.TotalOps() / p.threads
@@ -410,8 +398,8 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 			if e.Now() >= start {
 				p.globalOps++
 			}
-			ctx := k.NewCtx(t)
-			if err := wl.Step(k, ctx, t, rng); err != nil {
+			cost, err := m.Op(t, rng)
+			if err != nil {
 				if (plane != nil || cfg.Pressure != nil) && fault.IsErrno(err) {
 					// Graceful degradation: an injected (or induced)
 					// errno fails this operation, not the run. The op
@@ -422,13 +410,6 @@ func prepare(cfg RunConfig, eng *sim.Engine) (*preparedRun, error) {
 					finish(e)
 					return
 				}
-			}
-			cost := ctx.Cost
-			// The op has retired and nothing downstream retains ctx, so
-			// it can go back to the pool (no-op on the exact reference).
-			k.PutCtx(ctx)
-			if cost < 100 {
-				cost = 100
 			}
 			if e.Now() >= start {
 				p.opCosts.Observe(float64(cost))
@@ -451,8 +432,8 @@ func (p *preparedRun) finish() (*Result, error) {
 	if p.done != p.threads {
 		return nil, fmt.Errorf("harness: %d/%d threads finished", p.done, p.threads)
 	}
-	cfg, k := p.cfg, p.k
-	res := collect(cfg, k, p.pol, p.wl, p.globalOps, p.start, p.base)
+	cfg, k := p.cfg, p.m.K
+	res := collect(cfg, k, k.Policy, p.m.WL, p.globalOps, p.start, p.base)
 	res.OpCost = p.opCosts
 	res.DegradedOps = p.degradedOps
 	if p.plane != nil {
@@ -464,9 +445,9 @@ func (p *preparedRun) finish() (*Result, error) {
 	res.Pressure = k.Pressure.Stats
 	res.ReserveDips = k.Mem.Stats.ReserveDips
 	res.ShrinkerStats = k.Pressure.ShrinkerStats()
-	res.Trace = p.tracer
-	res.TraceStats = p.tracer.Stats()
-	res.Perf = PerfMeters{Mem: k.Mem.PerfCounters(), TraceCommits: p.tracer.SummaryCommits()}
+	res.Trace = k.Trace
+	res.TraceStats = k.Trace.Stats()
+	res.Perf = PerfMeters{Mem: k.Mem.PerfCounters(), TraceCommits: k.Trace.SummaryCommits()}
 	res.Perf.CtxFresh, res.Perf.CtxReused = k.CtxPoolCounters()
 	res.Sanitize = k.SanitizeReport(p.eng.Now())
 	if cfg.CrashReplay {

@@ -26,10 +26,6 @@ type ShardsConfig struct {
 	// Workers is the number of OS goroutines driving the shards.
 	// Defaults to 1; results never depend on it.
 	Workers int
-	// Quantum is the barrier epoch width in virtual time (default one
-	// virtual millisecond). Results never depend on it either — shards
-	// exchange no mid-run mail — but it sets barrier overhead.
-	Quantum sim.Duration
 	// EngineTrace, when non-nil, arms a dedicated coordinator tracer
 	// recording sim.barrier / sim.lane.drain events. It is separate
 	// from the per-shard tracers (Base.Trace) precisely so arming it
@@ -82,7 +78,9 @@ func RunShards(cfg ShardsConfig) (*ShardsResult, error) {
 	}
 	base := cfg.Base.withDefaults()
 
-	lanes := sim.NewLanes(cfg.Workers, cfg.Quantum)
+	// Shards exchange no mid-run mail, so the epoch width sets only
+	// barrier overhead, never results: use the lanes' default.
+	lanes := sim.NewLanes(cfg.Workers, 0)
 	var engTracer *trace.Tracer
 	if cfg.EngineTrace != nil {
 		engTracer = trace.New(*cfg.EngineTrace)

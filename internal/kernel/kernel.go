@@ -98,8 +98,8 @@ type Kernel struct {
 	appPages map[memsim.FrameID]*memsim.Frame
 
 	// ctxPool recycles retired op contexts on the fast accounting path
-	// (see NewCtx/PutCtx); it stays empty under the memory system's
-	// exact reference. ctxFresh/ctxReused meter the pool.
+	// (see Op); it stays empty under the memory system's exact
+	// reference. ctxFresh/ctxReused meter the pool.
 	//klocs:owner=lane
 	ctxPool             []*kstate.Ctx
 	ctxFresh, ctxReused uint64
@@ -225,7 +225,8 @@ func (k *Kernel) SetTaskSocket(s int) { k.taskSocket = s }
 
 // CPUFor maps a workload thread to a CPU on the current task socket.
 func (k *Kernel) CPUFor(thread int) int {
-	var local []int
+	// A stack buffer: CPUFor runs on every op, which must not allocate.
+	local := make([]int, 0, 64)
 	for cpu, sock := range k.Mem.CPUSocket {
 		if sock == k.taskSocket {
 			local = append(local, cpu)
@@ -238,10 +239,9 @@ func (k *Kernel) CPUFor(thread int) int {
 }
 
 // NewCtx builds an operation context for a workload thread at the
-// current virtual time. On the fast accounting path a retired context
-// (see PutCtx) is recycled instead of allocated; the reset writes
-// every field, so a recycled context is indistinguishable from a
-// fresh one.
+// current virtual time. On the fast accounting path a context retired
+// by Op is recycled instead of allocated; the reset writes every
+// field, so a recycled context is indistinguishable from a fresh one.
 func (k *Kernel) NewCtx(thread int) *kstate.Ctx {
 	k.Stats.Syscalls++
 	if last := len(k.ctxPool) - 1; last >= 0 {
@@ -255,15 +255,25 @@ func (k *Kernel) NewCtx(thread int) *kstate.Ctx {
 	return &kstate.Ctx{CPU: k.CPUFor(thread), Now: k.Eng.Now()}
 }
 
-// PutCtx returns a retired op context to the pool. Callers must not
-// retain or read ctx afterwards — NewCtx may hand the same struct to
-// the next operation. A no-op (safe to call unconditionally) on the
-// exact reference accounting path or when ctx is nil.
-func (k *Kernel) PutCtx(c *kstate.Ctx) {
-	if c == nil || k.Mem.Exact() {
-		return
+// opFloor is the least virtual time one operation costs: an op that
+// charges nothing still occupies its thread for the syscall it models.
+const opFloor sim.Duration = 100
+
+// Op runs one workload operation for thread: it draws an op context,
+// runs step on it, returns the context to the pool whether step failed
+// or not (the exact reference never pools), and reports the op's cost,
+// at least opFloor, with step's error. A failed op still pays for its
+// time; what the error means is the caller's policy. step must not
+// retain the context.
+func (k *Kernel) Op(thread int, step func(*kstate.Ctx) error) (sim.Duration, error) {
+	ctx := k.NewCtx(thread)
+	err := step(ctx)
+	cost := ctx.Cost
+	if !k.Mem.Exact() {
+		// NewCtx may hand this struct to the next operation.
+		k.ctxPool = append(k.ctxPool, ctx)
 	}
-	k.ctxPool = append(k.ctxPool, c)
+	return max(cost, opFloor), err
 }
 
 // CtxPoolCounters reports how many op contexts were freshly allocated
