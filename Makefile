@@ -10,9 +10,11 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repo's own invariant-enforcing analyzers (kloclint):
-# determinism hygiene, errno discipline, trace-name catalog membership,
-# alloc/free pairing, and the parallel-readiness suite (ownership,
-# lockcheck, rngflow, phasecheck — DESIGN.md §10, §14, §15). It also
+# determinism hygiene, errno discipline, alloc/free pairing
+# (nodeterminism, errnocheck, allocpair, lifecycle, errnoflow), trace
+# catalog membership and reachability (tracereach), and kernel
+# ownership (ownership, rngflow, phasecheck — DESIGN.md §10, §14,
+# §15). It also
 # fails when the checked-in PARALLEL_READINESS.md drifts from the code
 # (the report is regenerated twice — a determinism check in itself —
 # and compared) and when the shared-state count moves off the

@@ -8,7 +8,6 @@
 //	nodeterminism  no wall-clock time, ambient randomness, or escaping
 //	               map-iteration order
 //	errnocheck     no discarded errno-style error returns
-//	tracenames     Tracer.Emit names come from the registered catalog
 //	allocpair      alloc entry points have matching teardown paths
 //
 // plus, over the whole module at once (call graph, CFGs, dataflow),
@@ -19,12 +18,10 @@
 //	               early return
 //	errnoflow      errors escaping errno-speaking boundaries derive
 //	               from the internal/fault vocabulary
-//	tracereach     every trace catalog constant has a reachable Emit
-//	               site
+//	tracereach     Tracer.Emit names come from the registered catalog,
+//	               and every catalog constant has a reachable Emit site
 //	ownership      engine-reachable state classifies into the
 //	               lane/epoch/init/shared ownership taxonomy
-//	lockcheck      lock ordering is acyclic, unlocks cover every path,
-//	               atomic and plain access never mix
 //	rngflow        sim.RNG streams are forked explicitly and confined
 //	               to one owner
 //	phasecheck     lane/barrier/init execution phases propagate over
@@ -247,7 +244,7 @@ func checkOwnershipRatchet(loader *analysis.Loader, path string) error {
 	count := analysis.OwnershipSharedCount(mod)
 	switch {
 	case count > baseline:
-		return fmt.Errorf("ownership ratchet: %d shared/unclassified state entries, baseline %s allows %d — classify the new state into the lane/epoch/init/atomic taxonomy (see PARALLEL_READINESS.md) instead of raising the baseline", count, path, baseline)
+		return fmt.Errorf("ownership ratchet: %d shared/unclassified state entries, baseline %s allows %d — classify the new state into the lane/epoch/init taxonomy (see PARALLEL_READINESS.md) instead of raising the baseline", count, path, baseline)
 	case count < baseline:
 		return fmt.Errorf("ownership ratchet: %d shared/unclassified state entries, below the baseline %d — lower %s to %d to lock the progress in", count, baseline, path, count)
 	}

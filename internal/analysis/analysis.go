@@ -7,7 +7,7 @@
 // come from the registered catalog, and every simulated allocation
 // entry point needs a teardown path feeding kobj accounting.
 //
-// Four per-package analyzers enforce those invariants over one
+// Three per-package analyzers enforce those invariants over one
 // package at a time:
 //
 //   - nodeterminism: forbids wall-clock time, global math/rand, and
@@ -15,8 +15,6 @@
 //     (internal/sim's RNG is the only sanctioned randomness source);
 //   - errnocheck: forbids silently discarding error returns from the
 //     module's alloc/fs/blockdev/netsim/pressure paths;
-//   - tracenames: every Tracer.Emit call site must use a constant name
-//     from the catalog registered in internal/trace;
 //   - allocpair: every allocation entry point has a matching
 //     free/teardown path registered with kobj accounting.
 //
@@ -29,23 +27,24 @@
 //     through callee summaries;
 //   - errnoflow: every error escaping an errno-speaking boundary must
 //     provably derive from the internal/fault vocabulary;
-//   - tracereach: every trace catalog constant must have an Emit site
-//     reachable from the module's entry surface.
+//   - tracereach: every Tracer.Emit site uses a constant name from
+//     the catalog registered in internal/trace, and every catalog
+//     constant has an Emit site reachable from the module's entry
+//     surface.
 //
-// Three more module analyzers form the parallel-readiness plane gating
-// the sharded-engine refactor (DESIGN.md §14, ROADMAP item 2):
+// Three more module analyzers keep every kernel owned by the one
+// goroutine that drives it (DESIGN.md §14, §15):
 //
 //   - ownership: every package-level var and struct field in the
 //     engine packages carries a lane/epoch/init/shared ownership
 //     class, annotated or inferred; unannotated shared-mutable state
 //     is an error, and kloclint -ownership-report renders the full
 //     inventory into PARALLEL_READINESS.md;
-//   - lockcheck: lock-order cycles (through interface dispatch too),
-//     unlock-on-all-paths via CFG may-held analysis, and atomic/plain
-//     access mixing on the same storage;
 //   - rngflow: sim.RNG streams are single-owner — retaining fields
 //     must declare an owner, construction stays in internal/sim, and
-//     a stream handed off is never drawn from again (Fork a child).
+//     a stream handed off is never drawn from again (Fork a child);
+//   - phasecheck: lane/barrier/init execution phases propagate over
+//     the call graph and respect the ownership classes.
 //
 // A full-suite run also audits the suppression markers themselves
 // (suppressaudit.go): analyzers consult Marked only once a diagnostic
@@ -70,7 +69,6 @@
 //	//klocs:ignore-lifecycle  — ownership transfer the analysis cannot see
 //	//klocs:ignore-tracereach — catalog entry reserved intentionally
 //	//klocs:owner=<class>     — ownership class: lane, epoch, init, or shared
-//	//klocs:ignore-lockcheck  — ordering/release/atomic-mix exception
 //	//klocs:ignore-rngflow    — RNG confinement exception
 //
 // DESIGN.md §10 documents what each analyzer guards and its kernel
@@ -240,7 +238,7 @@ func RunAnalyzersAudited(pkg *Package, analyzers []*Analyzer, audit *MarkerAudit
 
 // All returns the full analyzer suite in documentation order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterminism, ErrnoCheck, TraceNames, AllocPair}
+	return []*Analyzer{NoDeterminism, ErrnoCheck, AllocPair}
 }
 
 // inspectFiles walks every file in the package.

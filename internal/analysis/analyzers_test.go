@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -45,7 +46,6 @@ func checkFixture(t *testing.T, a *Analyzer, name string) {
 
 func TestNoDeterminismFixture(t *testing.T) { checkFixture(t, NoDeterminism, "nodeterminism") }
 func TestErrnoCheckFixture(t *testing.T)    { checkFixture(t, ErrnoCheck, "errnocheck") }
-func TestTraceNamesFixture(t *testing.T)    { checkFixture(t, TraceNames, "tracenames") }
 func TestAllocPairFixture(t *testing.T)     { checkFixture(t, AllocPair, "allocpair") }
 
 // TestModuleTargets checks the module enumeration finds the load-
@@ -97,6 +97,25 @@ func TestModuleIsClean(t *testing.T) {
 	all = append(all, AuditSuppressions(pkgs, audit)...)
 	for _, d := range all {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestRetiredMarkersAreUnknown: the atomic ownership class and
+// lockcheck are gone, so a leftover //klocs:owner=atomic or
+// //klocs:ignore-lockcheck suppresses nothing and the audit must name
+// it as unknown rather than let it pass as vocabulary.
+func TestRetiredMarkersAreUnknown(t *testing.T) {
+	pkg := loadFixturePkg(t, "suppressaudit")
+	diags := AuditSuppressions([]*Package{pkg}, NewMarkerAudit())
+	for _, marker := range []string{"owner=atomic", "ignore-lockcheck"} {
+		want := "unknown marker //klocs:" + marker + ":"
+		found := false
+		for _, d := range diags {
+			found = found || strings.Contains(d.Message, want)
+		}
+		if !found {
+			t.Errorf("no %q diagnostic in %v", want, diags)
+		}
 	}
 }
 

@@ -39,6 +39,11 @@ func TestLifecycleFixture(t *testing.T)  { checkModuleFixture(t, Lifecycle, "lif
 func TestErrnoFlowFixture(t *testing.T)  { checkModuleFixture(t, ErrnoFlow, "errnoflow") }
 func TestTraceReachFixture(t *testing.T) { checkModuleFixture(t, TraceReach, "tracereach") }
 
+// TestTraceNamesFixture runs the Emit-site fixture (non-constant and
+// unregistered names) against tracereach, which checks every Emit
+// site whether or not it is reachable.
+func TestTraceNamesFixture(t *testing.T) { checkModuleFixture(t, TraceReach, "tracenames") }
+
 // TestWantHarnessCatchesMismatch is the meta-test for the fixture
 // harness: wrong expectations must fail in both directions — a
 // diagnostic no pattern matches, and a pattern no diagnostic matches.

@@ -65,13 +65,6 @@ const (
 	ownerShared
 	// ownerInferredInit is unannotated state with no post-init writer.
 	ownerInferredInit
-	// ownerAtomic is shared state accessed lock-free through
-	// sync/atomic: cross-lane by design, already synchronized. The
-	// annotation is honest only if the accesses really go through
-	// sync/atomic — runOwnership cross-checks against the lockcheck
-	// atomic-cell inventory, and the lockcheck atomic-mixing rule
-	// rejects plain access.
-	ownerAtomic
 )
 
 func (c ownerClass) String() string {
@@ -86,8 +79,6 @@ func (c ownerClass) String() string {
 		return "init (inferred: no post-init writer)"
 	case ownerShared:
 		return "shared (needs synchronization)"
-	case ownerAtomic:
-		return "atomic (lock-free: sync/atomic)"
 	}
 	return "UNCLASSIFIED (shared-mutable, unannotated)"
 }
@@ -101,7 +92,6 @@ var ownerMarkers = [...]struct {
 	{"owner=epoch", ownerEpoch},
 	{"owner=init", ownerInit},
 	{"owner=shared", ownerShared},
-	{"owner=atomic", ownerAtomic},
 }
 
 // ownershipScopePaths are the engine packages whose declared state the
@@ -147,17 +137,8 @@ type stateEntry struct {
 
 func runOwnership(pass *ModulePass) error {
 	entries := ownershipInventory(pass.Module, pass.Marked)
-	atomicCells := collectAtomicCells(pass.Module)
 	for i := range entries {
 		e := &entries[i]
-		if e.class == ownerAtomic {
-			// Honesty check: the annotation claims sync/atomic access,
-			// so the lockcheck atomic-cell inventory must know the var.
-			if _, ok := atomicCells[e.v]; !ok {
-				pass.Reportf(e.pos, "%s is annotated //klocs:owner=atomic but no sync/atomic access to it exists — route its accesses through sync/atomic or re-classify it", e.label)
-			}
-			continue
-		}
 		switch {
 		case e.class == ownerUnclassified:
 			w := e.writers[0]
@@ -698,7 +679,6 @@ func OwnershipReport(m *Module) []byte {
 	b.WriteString("| `lane` | per-CPU-confined: only the owning lane's goroutine touches it | move into the lane shard |\n")
 	b.WriteString("| `epoch` | mutated only at epoch/barrier quiescence points | guard with the epoch barrier |\n")
 	b.WriteString("| `init` | immutable after construction (annotated or inferred) | share freely |\n")
-	b.WriteString("| `atomic` | cross-lane by design, accessed lock-free via `sync/atomic` | already synchronized |\n")
 	b.WriteString("| `shared` | concurrently reachable and mutable | synchronize explicitly |\n\n")
 
 	counts := map[ownerClass]int{}
@@ -713,7 +693,7 @@ func OwnershipReport(m *Module) []byte {
 		byPkg[e.pkgPath] = append(byPkg[e.pkgPath], e)
 	}
 	b.WriteString("## Summary\n\n| class | entries |\n|---|---:|\n")
-	for _, c := range []ownerClass{ownerLane, ownerEpoch, ownerInit, ownerInferredInit, ownerAtomic, ownerShared, ownerUnclassified} {
+	for _, c := range []ownerClass{ownerLane, ownerEpoch, ownerInit, ownerInferredInit, ownerShared, ownerUnclassified} {
 		if c == ownerUnclassified && counts[c] == 0 {
 			continue
 		}
@@ -737,7 +717,7 @@ func OwnershipReport(m *Module) []byte {
 	b.WriteString("## RNG streams\n\n")
 	rngs := collectRNGFieldReport(m, pass.Marked)
 	if len(rngs) == 0 {
-		b.WriteString("No struct fields hold `*sim.RNG` streams.\n\n")
+		b.WriteString("No struct fields hold `*sim.RNG` streams.\n")
 	} else {
 		b.WriteString("Every `*sim.RNG`-typed field module-wide, with its lane-confinement\n")
 		b.WriteString("owner (the `rngflow` analyzer forbids unannotated or shared streams):\n\n")
@@ -745,32 +725,40 @@ func OwnershipReport(m *Module) []byte {
 		for _, r := range rngs {
 			fmt.Fprintf(&b, "| `%s` | %s |\n", r.label, r.owner)
 		}
-		b.WriteString("\n")
-	}
-
-	b.WriteString("## Synchronization inventory\n\n")
-	mutexes := collectMutexClasses(m)
-	if len(mutexes) == 0 {
-		b.WriteString("Mutex classes: none — the simulation core is lock-free by design;\n")
-		b.WriteString("lanes plus epoch barriers replace locking (`lockcheck` keeps it that way).\n")
-	} else {
-		b.WriteString("Mutex classes (lock-order cycles rejected by `lockcheck`):\n\n")
-		for _, mu := range mutexes {
-			fmt.Fprintf(&b, "- `%s`\n", mu)
-		}
-	}
-	b.WriteString("\n")
-	atomics := collectAtomicTargets(m)
-	if len(atomics) == 0 {
-		b.WriteString("Atomic cells: none.\n")
-	} else {
-		b.WriteString("Atomic cells (accessed via `sync/atomic`; plain post-init access to\n")
-		b.WriteString("the same storage is rejected by `lockcheck`):\n\n")
-		for _, at := range atomics {
-			fmt.Fprintf(&b, "- `%s`\n", at)
-		}
 	}
 	return b.Bytes()
+}
+
+// moduleStateLabels names every package var ("pkg.Var") and struct
+// field ("pkg.Type.field") in the module, for rngflow's diagnostics.
+func moduleStateLabels(m *Module) map[*types.Var]string {
+	labels := make(map[*types.Var]string)
+	for _, pkg := range m.Packages {
+		pkgName := pkg.Types.Name()
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Var:
+				labels[obj] = pkgName + "." + name
+			case *types.TypeName:
+				if obj.IsAlias() {
+					continue
+				}
+				named, ok := obj.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					labels[st.Field(i)] = pkgName + "." + name + "." + st.Field(i).Name()
+				}
+			}
+		}
+	}
+	return labels
 }
 
 // writerCell formats a writers column: up to three labels plus a

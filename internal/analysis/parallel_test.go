@@ -11,7 +11,6 @@ import (
 // The parallel-readiness fixtures: each carries deliberate
 // violations plus the clean shapes the analyzer must not flag.
 func TestOwnershipFixture(t *testing.T)  { checkModuleFixture(t, Ownership, "ownership") }
-func TestLockCheckFixture(t *testing.T)  { checkModuleFixture(t, LockCheck, "lockcheck") }
 func TestRNGFlowFixture(t *testing.T)    { checkModuleFixture(t, RNGFlow, "rngflow") }
 func TestPhaseCheckFixture(t *testing.T) { checkModuleFixture(t, PhaseCheck, "phasecheck") }
 
@@ -42,7 +41,6 @@ func metaModuleFixture(t *testing.T, a *ModuleAnalyzer, name string) {
 }
 
 func TestOwnershipWantHarness(t *testing.T)  { metaModuleFixture(t, Ownership, "ownershipmeta") }
-func TestLockCheckWantHarness(t *testing.T)  { metaModuleFixture(t, LockCheck, "lockcheckmeta") }
 func TestRNGFlowWantHarness(t *testing.T)    { metaModuleFixture(t, RNGFlow, "rngflowmeta") }
 func TestPhaseCheckWantHarness(t *testing.T) { metaModuleFixture(t, PhaseCheck, "phasecheckmeta") }
 

@@ -76,7 +76,7 @@ func runRNGFlow(pass *ModulePass) error {
 			}
 		}
 		switch class {
-		case ownerShared, ownerAtomic:
+		case ownerShared:
 			if !pass.Marked(rngFlowMarker, f.pos) {
 				pass.Reportf(f.pos, "%s is annotated //klocs:%s but RNG streams must never be shared: a stream drawn from two lanes breaks seed-determinism — fork per-lane child streams instead", f.label, ownerMarkerName(class))
 			}

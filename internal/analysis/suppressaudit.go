@@ -40,8 +40,6 @@ var knownMarkers = map[string]bool{
 	"owner=epoch":      true, // ownership/rngflow: mutated only at epoch quiescence
 	"owner=init":       true, // ownership/rngflow: immutable after construction
 	"owner=shared":     true, // ownership: shared-mutable, synchronization debt acknowledged
-	"owner=atomic":     true, // ownership: lock-free cross-lane access via sync/atomic
-	lockCheckMarker:    true, // lockcheck: ordering/release/atomic-mix exception justified
 	rngFlowMarker:      true, // rngflow: stream transfer the analysis cannot see
 	"phase=lane":       true, // phasecheck: pin — runs on one lane's worker inside an epoch
 	"phase=barrier":    true, // phasecheck: pin — coordinator code, lanes quiescent

@@ -418,7 +418,7 @@ func (m *Memory) SyncStats() {
 }
 
 // PerfCounters are the accounting plane's own deterministic meters:
-// accumulator adds vs shared-store commits (the batched write
+// accumulator adds vs store commits (the batched write
 // reduction) and frame-pool recycling. The perf harness reports them;
 // they are not part of Stats so reference and fast-path runs stay
 // field-for-field comparable.

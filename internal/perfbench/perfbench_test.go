@@ -16,17 +16,43 @@ func fakeClock(step int64) func() int64 {
 	}
 }
 
+// sweepKey names one distinct quick-sweep config: the fake clock's
+// step (0 = no clock) and whether wall metrics are published.
+type sweepKey struct {
+	step        int64
+	includeWall bool
+}
+
+// sweeps memoizes one seed-42 quick sweep per distinct config. A sweep
+// dominates this package's test time and the tests only read the
+// report, so tests sharing a config share one sweep.
+var sweeps = map[sweepKey]*Report{}
+
+func quickSweep(t *testing.T, step int64, includeWall bool) *Report {
+	t.Helper()
+	key := sweepKey{step, includeWall}
+	if rep, ok := sweeps[key]; ok {
+		return rep
+	}
+	cfg := Config{Seed: 42, Quick: true, IncludeWall: includeWall}
+	if step > 0 {
+		cfg.Now = fakeClock(step)
+	}
+	_, rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweeps[key] = rep
+	return rep
+}
+
 // TestReportIsByteIdentical: two same-seed quick sweeps must serialize
 // to the same bytes, even when their injected wall clocks disagree —
 // machine-dependent numbers stay out of the report unless IncludeWall
 // is set. This is the property the CI perf-smoke job pins with cmp.
 func TestReportIsByteIdentical(t *testing.T) {
 	run := func(step int64) []byte {
-		_, rep, err := Run(Config{Seed: 42, Quick: true, Now: fakeClock(step)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := rep.JSON()
+		data, err := quickSweep(t, step, false).JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,11 +69,7 @@ func TestReportIsByteIdentical(t *testing.T) {
 // Report shape with the schema version, full variant catalog, and one
 // row per (stage, variant).
 func TestReportSchemaRoundTrip(t *testing.T) {
-	_, rep, err := Run(Config{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := rep.JSON()
+	data, err := quickSweep(t, 0, false).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +105,7 @@ func TestReportSchemaRoundTrip(t *testing.T) {
 // TestIncludeWallPublishesMetrics: opting in puts wall rows and the
 // speedup map into the JSON.
 func TestIncludeWallPublishesMetrics(t *testing.T) {
-	_, rep, err := Run(Config{Seed: 42, Quick: true, Now: fakeClock(5), IncludeWall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickSweep(t, 5, true)
 	for _, row := range rep.Rows {
 		if row.Wall == nil {
 			t.Fatalf("row %s/%s missing wall metrics under IncludeWall", row.Stage, row.Variant)
@@ -113,10 +132,7 @@ func TestIncludeWallPublishesMetrics(t *testing.T) {
 // solo shard times identically — a span-model speedup exactly equal
 // to the worker count.
 func TestLaneSweep(t *testing.T) {
-	_, rep, err := Run(Config{Seed: 42, Quick: true, Now: fakeClock(5), IncludeWall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickSweep(t, 5, true)
 	if len(rep.LaneSweep) != len(laneWorkerCounts) {
 		t.Fatalf("%d lane rows, want %d", len(rep.LaneSweep), len(laneWorkerCounts))
 	}
@@ -149,11 +165,7 @@ func TestLaneSweep(t *testing.T) {
 // TestSanityCheckNeedsClock: without an injected clock there is
 // nothing to check, and saying so beats vacuously passing.
 func TestSanityCheckNeedsClock(t *testing.T) {
-	_, rep, err := Run(Config{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.SanityCheck(); err == nil {
+	if err := quickSweep(t, 0, false).SanityCheck(); err == nil {
 		t.Fatal("SanityCheck passed with no wall metrics")
 	}
 }
